@@ -26,9 +26,9 @@ import time
 import numpy as np
 import pytest
 
-from repro.codec.bitstream import ScalarBitReader
 from repro.codec.decoder import parse_bitstream_symbols
 from repro.codec.encoder import encode_sequence
+from repro.codec.reference import parse_bitstream_reference
 from repro.experiments.decode_bench import write_records
 from repro.kernels import get_backend, numba_available, reset_backend, set_backend
 from repro.me.engine.kernels import _frame_sad_surfaces_generic, sad_surfaces_numpy
@@ -100,9 +100,7 @@ def test_backend_vlc_parse_numpy(benchmark, encoded):
     parsed = benchmark(parse_bitstream_symbols, encoded.bitstream)
     assert len(parsed) == len(encoded.reconstruction)
     numpy_s = benchmark.stats["min"]
-    seed_s = _best_of(
-        lambda: parse_bitstream_symbols(encoded.bitstream, ScalarBitReader), 3
-    )
+    seed_s = _best_of(lambda: parse_bitstream_reference(encoded.bitstream), 3)
     _RECORDS["backend_vlc_parse_numpy_ms"] = numpy_s * 1000.0
     _RECORDS["backend_vlc_parse_numpy_speedup"] = seed_s / numpy_s
     assert _RECORDS["backend_vlc_parse_numpy_speedup"] > 1.0

@@ -3,7 +3,8 @@ walk.
 
 The counterpart of ``test_bench_kernels.py`` for the serving side of
 the codec: one encode, then the same bitstream decoded through the
-engine's whole-frame kernels and through the per-block fallback.
+engine's whole-frame kernels and through the seed reference decode of
+:mod:`repro.codec.reference` (per-bit parse, per-block reconstruction).
 Timings (and the speedup) land in ``BENCH_decode.json`` at the repo
 root for CI's regression gate.
 """
@@ -12,6 +13,7 @@ import pytest
 
 from repro.codec.decoder import decode_bitstream
 from repro.codec.encoder import encode_sequence
+from repro.codec.reference import decode_bitstream_reference
 from repro.experiments.decode_bench import run_decode_bench, write_records
 
 from .conftest import bench_frames, bench_output_path
@@ -36,16 +38,16 @@ def encoded(sequence_cache):
 
 def test_decode_frame_batched(benchmark, encoded):
     """Whole-bitstream decode through the batched engine path."""
-    frames = benchmark(decode_bitstream, encoded.bitstream, None, True)
+    frames = benchmark(decode_bitstream, encoded.bitstream)
     assert len(frames) == len(encoded.reconstruction)
     _RECORDS["decode_batched_qcif_ms"] = benchmark.stats["min"] * 1000.0
 
 
 def test_decode_frame_per_block(benchmark, encoded):
-    """The seed per-block decoder, kept as the fallback — the baseline
-    the batched path is measured against."""
+    """The seed reference decoder — the baseline the batched path is
+    measured against."""
     frames = benchmark.pedantic(
-        decode_bitstream, args=(encoded.bitstream, None, False), rounds=3, iterations=1
+        decode_bitstream_reference, args=(encoded.bitstream,), rounds=3, iterations=1
     )
     assert len(frames) == len(encoded.reconstruction)
     _RECORDS["decode_per_block_qcif_ms"] = benchmark.stats["min"] * 1000.0
@@ -57,11 +59,10 @@ def test_decode_speedup_batched_vs_per_block(encoded):
     the bench and asserted here; the golden proofs live in
     tests/test_reconstruction.py).
 
-    The measured ratio lands around 3-5x on a single-core container —
-    the remaining serial cost is the VLC symbol parse, which both paths
-    share.  The recorded BENCH_decode.json number is the real signal;
-    the assertion is a regression backstop with margin for noisy CI
-    runners.
+    The reference decode parses one bit at a time, so the ratio also
+    carries the LUT parse's win over the seed reader.  The recorded
+    BENCH_decode.json number is the real signal; the assertion is a
+    regression backstop with margin for noisy CI runners.
     """
     result = run_decode_bench(
         sequence="foreman", frames=bench_frames(), qp=16, estimator="fsbm",

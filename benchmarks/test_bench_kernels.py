@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 
 from repro.codec.dct import forward_dct, inverse_dct
+from repro.codec.reference import estimate_reference
 from repro.experiments.decode_bench import write_records
 from repro.me.engine import frame_sad_surfaces
 from repro.me.estimator import BlockContext
@@ -98,19 +99,20 @@ def test_fsbm_frame_estimate_batched(benchmark, planes):
     """Full FSBM frame estimation through the engine's estimate_frame
     (surfaces + vectorized minima + batched half-pel refinement)."""
     current, reference = planes
-    est = FullSearchEstimator(p=15, use_engine=True)
+    est = FullSearchEstimator(p=15)
     field, stats = benchmark(est.estimate, current, reference)
     assert stats.blocks == 99
     _RECORDS["fsbm_estimate_batched_qcif_ms"] = benchmark.stats["min"] * 1000.0
 
 
 def test_fsbm_frame_estimate_per_block(benchmark, planes):
-    """The seed per-block FSBM path, kept as the engine's fallback —
-    the baseline the batched path is measured against."""
+    """The seed per-block FSBM path (the reference oracle, also the
+    engine's fallback) — the baseline the batched path is measured
+    against."""
     current, reference = planes
-    est = FullSearchEstimator(p=15, use_engine=False)
+    est = FullSearchEstimator(p=15)
     field, stats = benchmark.pedantic(
-        est.estimate, args=(current, reference), rounds=3, iterations=1
+        estimate_reference, args=(est, current, reference), rounds=3, iterations=1
     )
     assert stats.blocks == 99
     _RECORDS["fsbm_estimate_per_block_qcif_ms"] = benchmark.stats["min"] * 1000.0
@@ -128,10 +130,9 @@ def test_fsbm_frame_speedup_batch_vs_per_block():
     noisy shared CI runner can't flake the suite.
     """
     current, reference = _cif_planes()
-    batched = FullSearchEstimator(p=15, use_engine=True)
-    per_block = FullSearchEstimator(p=15, use_engine=False)
-    t_batched = _best_of(lambda: batched.estimate(current, reference), rounds=5)
-    t_per_block = _best_of(lambda: per_block.estimate(current, reference), rounds=3)
+    est = FullSearchEstimator(p=15)
+    t_batched = _best_of(lambda: est.estimate(current, reference), rounds=5)
+    t_per_block = _best_of(lambda: estimate_reference(est, current, reference), rounds=3)
     speedup = t_per_block / t_batched
     _RECORDS["fsbm_estimate_per_block_cif_ms"] = t_per_block * 1000.0
     _RECORDS["fsbm_estimate_batched_cif_ms"] = t_batched * 1000.0

@@ -5,7 +5,8 @@ The counterpart of ``test_bench_decode.py`` for the symbol-parse half
 of the decoder: one encode, then the same bytes parsed through the
 table-driven path (word-level :class:`BitReader`, ``read_vlc`` LUT
 hits, peeked exp-Golomb) and through the seed per-bit reader
-(``ScalarBitReader`` + tree-walk decode).  Symbol identity is verified
+(:func:`repro.codec.reference.parse_bitstream_reference`:
+``ScalarBitReader`` + tree-walk decode).  Symbol identity is verified
 before anything is timed.  Timings, the parse speedup and the
 parse/reconstruct split land in ``BENCH_vlc.json`` at the repo root
 for CI's regression gate.
@@ -13,9 +14,9 @@ for CI's regression gate.
 
 import pytest
 
-from repro.codec.bitstream import ScalarBitReader
 from repro.codec.decoder import FrameIndex, decode_bitstream, parse_bitstream_symbols
 from repro.codec.encoder import encode_sequence
+from repro.codec.reference import parse_bitstream_reference
 from repro.experiments.decode_bench import run_parse_bench, write_records
 
 from .conftest import bench_frames, bench_output_path
@@ -49,10 +50,7 @@ def test_parse_seed_reader(benchmark, encoded):
     """The seed per-bit reader + tree-walk decode over the same bytes —
     the baseline the LUT path is measured against."""
     parsed = benchmark.pedantic(
-        parse_bitstream_symbols,
-        args=(encoded.bitstream, ScalarBitReader),
-        rounds=3,
-        iterations=1,
+        parse_bitstream_reference, args=(encoded.bitstream,), rounds=3, iterations=1
     )
     assert len(parsed) == len(encoded.reconstruction)
     _RECORDS["vlc_parse_seed_qcif_ms"] = benchmark.stats["min"] * 1000.0

@@ -19,11 +19,12 @@ two fused primitives the VLC layer's hot loops are built on:
   peek and ``int.bit_length``.
 
 :class:`ScalarBitReader` preserves the seed's one-bit-at-a-time reader
-verbatim.  It is the golden reference the equivalence tests and the
-``BENCH_vlc.json`` benchmark compare the word-level/LUT path against;
-any reader-shaped object without the fused ``read_vlc``/``read_ue``
-primitives (such as this one) automatically routes the VLC layer
-through its seed bit-walk decode.
+verbatim.  It drives the seed parse of :mod:`repro.codec.reference`,
+the golden reference the equivalence tests and the ``BENCH_vlc.json``
+benchmark compare the word-level/LUT path against; any reader-shaped
+object without the fused ``read_vlc``/``read_ue`` primitives (such as
+this one) automatically routes the VLC layer through its seed bit-walk
+decode.
 """
 
 from __future__ import annotations
@@ -338,8 +339,8 @@ class ScalarBitReader:
 
     Golden reference for the word-level :class:`BitReader`: it exposes
     only ``read_bit``/``read_bits``, so the VLC layer decodes through
-    its original per-bit tree walk when handed one — the equivalence
-    tests and ``benchmarks/test_bench_vlc.py`` rely on exactly that.
+    its original per-bit tree walk when handed one — the reference
+    parse in :mod:`repro.codec.reference` relies on exactly that.
     """
 
     def __init__(self, data: bytes) -> None:

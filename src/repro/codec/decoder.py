@@ -12,15 +12,16 @@ The decoder is split along the codec's two cost axes:
   into a :class:`ParsedPicture` (quantized levels, DC levels, motion
   arrays).  On a word-level :class:`BitReader` every VLC symbol is one
   LUT hit (:meth:`~repro.codec.vlc.VLCTable.decode`) and every
-  exp-Golomb code one peek; handed a
-  :class:`~repro.codec.bitstream.ScalarBitReader` the identical walk
-  runs through the seed per-bit reader, which is the equivalence
-  baseline;
+  exp-Golomb code one peek;
 * **reconstruction** — :func:`reconstruct_picture` turns a parsed
   picture into pixels with the batched engine kernels (one IDCT over
   every block, whole-frame luma/chroma motion compensation through the
-  :class:`~repro.me.engine.ReferencePlane` caches).  The seed per-block
-  loop survives on ``use_engine=False`` as the bit-exactness reference.
+  :class:`~repro.me.engine.ReferencePlane` caches).
+
+Each half has one production path.  The seed per-bit parse and
+per-block reconstruction they replaced live in
+:mod:`repro.codec.reference`, the bit-exactness oracle the golden tests
+decode every stream with.
 
 Version-2 bitstreams (``Encoder(bitstream_version=2)``) delimit
 pictures with byte-aligned start codes and length fields, so
@@ -29,9 +30,9 @@ parsing — which is what lets :func:`decode_bitstream` parse frames'
 symbols **concurrently** (``jobs=N`` dispatches
 :class:`~repro.parallel.jobs.ParseFrameJob` specs through
 :func:`repro.parallel.run_jobs`) before the sequential batched
-reconstruction pass.  Both versions, both reconstruction paths and any
-job count produce bit-identical frames; ``tests/test_reconstruction.py``
-and ``tests/test_bitstream_v2.py`` pin that.
+reconstruction pass.  Both versions and any job count produce
+bit-identical frames; ``tests/test_reconstruction.py`` pins that
+against the reference decode.
 """
 
 from __future__ import annotations
@@ -41,7 +42,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.codec.bitstream import BitReader
-from repro.codec.dct import inverse_dct
 from repro.kernels import get_backend
 from repro.codec.encoder import (
     FRAME_LENGTH_BITS,
@@ -54,19 +54,10 @@ from repro.codec.encoder import (
     START_CODE_EXT,
 )
 from repro.codec.intra import INTRA_MODE_BITS, intra_predict
-from repro.codec.macroblock import (
-    decode_inter_block,
-    decode_intra_block,
-    join_luma_blocks,
-    predict_chroma_block,
-    read_block_levels,
-    read_events,
-)
-from repro.codec.mv_coding import predict_mv, read_mvd
+from repro.codec.macroblock import join_luma_blocks, read_block_levels
 from repro.codec.quantizer import dequantize, dequantize_intra_dc
-from repro.codec.vlc import read_ue_golomb, read_ue_golomb_bitwise
+from repro.codec.vlc import read_ue_golomb_bitwise
 from repro.codec.vlc_tables import CBPY_TABLE, MCBPC_TABLE
-from repro.codec.zigzag import events_to_block
 from repro.me.engine import (
     ChromaReferencePlane,
     ReferencePlane,
@@ -75,8 +66,6 @@ from repro.me.engine import (
     tile_blocks,
     tile_luma_blocks,
 )
-from repro.me.subpel import predict_block
-from repro.me.types import MotionField, MotionVector
 from repro.obs import metrics, trace
 from repro.video.frame import Frame, FrameGeometry
 
@@ -188,97 +177,14 @@ class ParsedPicture:
         )
 
 
-def _read_coded_flags(reader) -> list[bool]:
-    """MCBPC + CBPY → the six per-block coded flags (Y0..Y3, Cb, Cr)."""
-    mcbpc = MCBPC_TABLE.decode(reader)
-    cbpy = CBPY_TABLE.decode(reader)
-    coded_flags = [bool(cbpy & (1 << k)) for k in range(4)]
-    coded_flags += [bool(mcbpc & 2), bool(mcbpc & 1)]
-    return coded_flags
-
-
-def _parse_intra_body(reader, header: PictureHeader) -> ParsedPicture:
-    """Reference intra parse: seed event-list walk, any reader."""
-    rows, cols = header.mb_rows, header.mb_cols
-    levels = np.zeros((rows * cols * 6, 8, 8), dtype=np.int64)
-    dc_levels = np.empty(rows * cols * 6, dtype=np.int64)
-    k = 0
-    for _ in range(rows * cols):
-        coded_flags = _read_coded_flags(reader)
-        for coded in coded_flags:
-            dc_levels[k] = reader.read_bits(8)
-            if coded:
-                levels[k] = events_to_block(read_events(reader), skip_first=1)
-            k += 1
-    return ParsedPicture(header=header, levels=levels, dc_levels=dc_levels)
-
-
-def _read_ref_index(reader, header: PictureHeader) -> int:
-    """One coded macroblock's exp-Golomb reference index, validated
-    against the header's active-reference count."""
-    ref = read_ue_golomb(reader)
-    if ref >= header.num_refs:
-        raise ValueError(
-            f"reference index {ref} out of range "
-            f"(picture codes {header.num_refs} active references)"
-        )
-    return ref
-
-
-def _parse_intra_pred_body(reader, header: PictureHeader) -> ParsedPicture:
-    """Reference parse of a GOP-syntax I-frame: per-MB mode bits, then
-    inter-style residual events (seed event-list walk, any reader)."""
-    rows, cols = header.mb_rows, header.mb_cols
-    levels = np.zeros((rows, cols, 6, 8, 8), dtype=np.int64)
-    modes = np.empty((rows, cols), dtype=np.int64)
-    for r in range(rows):
-        for c in range(cols):
-            mode = reader.read_bits(INTRA_MODE_BITS)
-            if mode > 2:
-                raise ValueError(f"illegal intra prediction mode {mode}")
-            modes[r, c] = mode
-            coded_flags = _read_coded_flags(reader)
-            for k, coded in enumerate(coded_flags):
-                if coded:
-                    levels[r, c, k] = events_to_block(read_events(reader))
-    return ParsedPicture(header=header, levels=levels, modes=modes)
-
-
-def _parse_inter_body(reader, header: PictureHeader) -> ParsedPicture:
-    """Reference inter parse: seed event-list walk, any reader.
-    Extended pictures additionally carry a per-MB reference index
-    between the CBPY and the MVD."""
-    rows, cols = header.mb_rows, header.mb_cols
-    multi = header.extended
-    coded_field = MotionField(rows, cols)
-    levels = np.zeros((rows, cols, 6, 8, 8), dtype=np.int64)
-    ref_idx = np.zeros((rows, cols), dtype=np.int64) if multi else None
-    for r in range(rows):
-        for c in range(cols):
-            if reader.read_bit():  # COD = 1: skipped
-                coded_field.set(r, c, MotionVector.zero())
-                continue
-            coded_flags = _read_coded_flags(reader)
-            if multi:
-                ref_idx[r, c] = _read_ref_index(reader, header)
-            predictor = predict_mv(coded_field, r, c)
-            mv = read_mvd(reader, predictor)
-            coded_field.set(r, c, mv)
-            for k, coded in enumerate(coded_flags):
-                if coded:
-                    levels[r, c, k] = events_to_block(read_events(reader))
-    hx, hy = coded_field.to_arrays()
-    return ParsedPicture(header=header, levels=levels, hx=hx, hy=hy, ref_idx=ref_idx)
-
-
 # LUTs bound once for the fast bodies below.
 _CBPY_LUT, _CBPY_BITS = CBPY_TABLE.lut, CBPY_TABLE.lut_first_bits
 _MCBPC_LUT, _MCBPC_BITS = MCBPC_TABLE.lut, MCBPC_TABLE.lut_first_bits
 
 
-def _parse_intra_body_fast(reader: BitReader, header: PictureHeader) -> ParsedPicture:
-    """Word-level intra parse: LUT symbol hits, levels written straight
-    into the batched arrays.  Bit-identical to :func:`_parse_intra_body`."""
+def _parse_intra_body(reader: BitReader, header: PictureHeader) -> ParsedPicture:
+    """Seed-syntax intra parse: LUT symbol hits, levels written straight
+    into the batched arrays."""
     rows, cols = header.mb_rows, header.mb_cols
     levels = np.zeros((rows * cols * 6, 8, 8), dtype=np.int64)
     flat = levels.reshape(rows * cols * 6, 64)
@@ -297,10 +203,9 @@ def _parse_intra_body_fast(reader: BitReader, header: PictureHeader) -> ParsedPi
     return ParsedPicture(header=header, levels=levels, dc_levels=dc_levels)
 
 
-def _parse_intra_pred_body_fast(reader: BitReader, header: PictureHeader) -> ParsedPicture:
-    """Word-level GOP-syntax intra parse: LUT symbol hits, levels
-    written straight into the batched arrays.  Bit-identical to
-    :func:`_parse_intra_pred_body`."""
+def _parse_intra_pred_body(reader: BitReader, header: PictureHeader) -> ParsedPicture:
+    """GOP-syntax intra parse: per-MB mode bits, LUT symbol hits, levels
+    written straight into the batched arrays."""
     rows, cols = header.mb_rows, header.mb_cols
     levels = np.zeros((rows, cols, 6, 8, 8), dtype=np.int64)
     flat = levels.reshape(rows, cols, 6, 64)
@@ -331,10 +236,9 @@ def _parse_intra_pred_body_fast(reader: BitReader, header: PictureHeader) -> Par
     return ParsedPicture(header=header, levels=levels, modes=modes)
 
 
-def _parse_inter_body_fast(reader: BitReader, header: PictureHeader) -> ParsedPicture:
-    """Word-level inter parse.  Bit-identical to :func:`_parse_inter_body`,
-    with the motion field held as plain int rows (the H.263 median
-    prediction inlined) instead of per-vector objects."""
+def _parse_inter_body(reader: BitReader, header: PictureHeader) -> ParsedPicture:
+    """Inter parse, with the motion field held as plain int rows (the
+    H.263 median prediction inlined) instead of per-vector objects."""
     rows, cols = header.mb_rows, header.mb_cols
     multi = header.extended
     levels = np.zeros((rows, cols, 6, 8, 8), dtype=np.int64)
@@ -464,29 +368,23 @@ def _parse_body_compiled(reader: BitReader, header: PictureHeader) -> "ParsedPic
     )
 
 
-def parse_picture_body(reader, header: PictureHeader) -> ParsedPicture:
+def parse_picture_body(reader: BitReader, header: PictureHeader) -> ParsedPicture:
     """Parse the macroblock layer of a picture whose header is already
-    consumed.  Word-level readers take the LUT fast bodies; readers
-    exposing only ``read_bit`` (``ScalarBitReader``) take the seed
-    event-list walk — the two are bit-identical on every stream.  When
-    the active kernel backend ships compiled body parsers
-    (:mod:`repro.kernels`), plain :class:`BitReader` parses go through
-    them first, falling back here on any deviation.
+    consumed.  When the active kernel backend ships compiled body
+    parsers (:mod:`repro.kernels`), plain :class:`BitReader` parses go
+    through them first, falling back to the Python body on any
+    deviation.  The seed per-bit walk these bodies replaced lives on in
+    :mod:`repro.codec.reference` as the test oracle.
     """
-    fast = hasattr(reader, "read_vlc")
-    if fast and type(reader) is BitReader:
+    if type(reader) is BitReader:
         parsed = _parse_body_compiled(reader, header)
         if parsed is not None:
             return parsed
-    if header.frame_type == "I":
-        if header.extended:
-            return (
-                _parse_intra_pred_body_fast(reader, header)
-                if fast
-                else _parse_intra_pred_body(reader, header)
-            )
-        return _parse_intra_body_fast(reader, header) if fast else _parse_intra_body(reader, header)
-    return _parse_inter_body_fast(reader, header) if fast else _parse_inter_body(reader, header)
+    if header.frame_type == "P":
+        return _parse_inter_body(reader, header)
+    if header.extended:
+        return _parse_intra_pred_body(reader, header)
+    return _parse_intra_body(reader, header)
 
 
 def parse_picture(reader) -> ParsedPicture:
@@ -500,17 +398,19 @@ def parse_picture(reader) -> ParsedPicture:
         return parse_picture_body(reader, read_picture_header(reader))
 
 
-def parse_bitstream_symbols(bitstream: bytes, reader_factory=BitReader) -> list[ParsedPicture]:
+def parse_bitstream_symbols(bitstream: bytes) -> list[ParsedPicture]:
     """Parse every picture in a (version-1 or -2) stream sequentially.
 
-    ``reader_factory`` selects the bit-reader implementation — the
-    default word-level :class:`BitReader` drives the LUT decode path;
-    passing :class:`~repro.codec.bitstream.ScalarBitReader` replays the
-    seed per-bit walk over the same bytes, which is how the equivalence
-    tests and ``BENCH_vlc.json`` compare the two.
+    :func:`repro.codec.reference.parse_bitstream_reference` replays the
+    seed per-bit walk over the same bytes; the equivalence tests and
+    ``BENCH_vlc.json`` compare the two.
     """
-    version = detect_version(bitstream)
-    reader = reader_factory(bitstream)
+    return _parse_pictures(BitReader(bitstream), detect_version(bitstream), parse_picture)
+
+
+def _parse_pictures(reader, version: int, parse) -> list[ParsedPicture]:
+    """The framing loop shared with the reference parse: ``parse``
+    consumes one picture (header + body) at the reader's cursor."""
     framing_bits = FRAME_START_CODE_BITS + FRAME_LENGTH_BITS if version == 2 else 0
     parsed: list[ParsedPicture] = []
     while True:
@@ -524,10 +424,10 @@ def parse_bitstream_symbols(bitstream: bytes, reader_factory=BitReader) -> list[
                 raise ValueError(f"bad frame start code {marker:#x}")
             length = reader.read_bits(FRAME_LENGTH_BITS)
             expected_end = reader.bits_consumed // 8 + length
-            parsed.append(parse_picture(reader))
+            parsed.append(parse(reader))
             check_frame_length(reader, expected_end)
         else:
-            parsed.append(parse_picture(reader))
+            parsed.append(parse(reader))
 
 
 def check_frame_length(reader, expected_end: int) -> None:
@@ -704,6 +604,13 @@ def _reconstruct_picture(
         references = [reference]
     else:
         references = list(reference)
+    if references and references[0].geometry != header.geometry:
+        # No encoder emits this (StreamEncoder rejects mixed geometries),
+        # and an I-frame resetting the reference list must not let a
+        # concatenated stream of another size decode as one sequence.
+        raise ValueError(
+            f"geometry change mid-stream: {references[0].geometry} → {header.geometry}"
+        )
     if header.frame_type == "I":
         if header.extended:
             return _reconstruct_intra_pred(parsed, frame_index)
@@ -718,10 +625,6 @@ def _reconstruct_picture(
         return Frame(y, cb, cr, index=frame_index)
     if not references:
         raise ValueError("P-frame without a decoded reference")
-    if references[0].geometry != header.geometry:
-        raise ValueError(
-            f"geometry change mid-stream: {references[0].geometry} → {header.geometry}"
-        )
     coefficients = dequantize(parsed.levels, header.qp)
     ref_idx = parsed.ref_idx
     if ref_idx is None or not ref_idx.any():
@@ -769,24 +672,17 @@ class Decoder:
     ----------
     bitstream:
         The encoder's emitted bytes.
-    use_engine:
-        ``True`` (default) reconstructs each frame through the batched
-        engine kernels; ``False`` forces the seed per-block loop.  Both
-        paths are bit-identical.
     first_frame_index:
         Index stamped on the first decoded frame — pass the keyframe's
         position when decoding a :func:`slice_from_keyframe` suffix so
         frame indices line up with the full stream.
     """
 
-    def __init__(
-        self, bitstream: bytes, use_engine: bool = True, first_frame_index: int = 0
-    ) -> None:
+    def __init__(self, bitstream: bytes, first_frame_index: int = 0) -> None:
         self._reader = BitReader(bitstream)
         #: Decoded reference list, most recent first; reset by I-frames.
         self._references: list[Frame] = []
         self._frame_index = first_frame_index
-        self._use_engine = bool(use_engine)
         self.version = detect_version(bitstream)
 
     @property
@@ -819,16 +715,8 @@ class Decoder:
                 if header.frame_type == "P" and not self._references:
                     raise ValueError("P-frame without a decoded reference")
                 parse_span.set(type=header.frame_type)
-                if self._use_engine:
-                    parsed = parse_picture_body(self._reader, header)
-            if self._use_engine:
-                frame = reconstruct_picture(parsed, self._references, self._frame_index)
-            elif header.intra_pred:
-                frame = self._decode_intra_pred_per_block(header)
-            elif header.frame_type == "I":
-                frame = self._decode_intra_per_block(header)
-            else:
-                frame = self._decode_inter_per_block(header)
+                parsed = parse_picture_body(self._reader, header)
+            frame = reconstruct_picture(parsed, self._references, self._frame_index)
             if expected_end is not None:
                 check_frame_length(self._reader, expected_end)
             if header.frame_type == "I":
@@ -840,119 +728,10 @@ class Decoder:
         _MET_FRAMES_IN.inc()
         return frame
 
-    # -- seed per-block reconstruction (bit-exactness reference) ---------
-
-    def _decode_intra_per_block(self, header: PictureHeader) -> Frame:
-        g = header.geometry
-        y = np.empty((g.height, g.width), dtype=np.uint8)
-        cb = np.empty((g.chroma_height, g.chroma_width), dtype=np.uint8)
-        cr = np.empty((g.chroma_height, g.chroma_width), dtype=np.uint8)
-        for r in range(header.mb_rows):
-            for c in range(header.mb_cols):
-                coded_flags = _read_coded_flags(self._reader)
-                blocks = []
-                for coded in coded_flags:
-                    dc_level = self._reader.read_bits(8)
-                    events = read_events(self._reader) if coded else []
-                    blocks.append(decode_intra_block(dc_level, events, header.qp))
-                pixels = np.clip(np.rint(inverse_dct(np.stack(blocks))), 0, 255).astype(np.uint8)
-                y0, x0 = 16 * r, 16 * c
-                y[y0 : y0 + 16, x0 : x0 + 16] = join_luma_blocks(pixels[:4])
-                cb[8 * r : 8 * r + 8, 8 * c : 8 * c + 8] = pixels[4]
-                cr[8 * r : 8 * r + 8, 8 * c : 8 * c + 8] = pixels[5]
-        return Frame(y, cb, cr, index=self._frame_index)
-
-    def _decode_intra_pred_per_block(self, header: PictureHeader) -> Frame:
-        """Seed-style per-MB loop for a GOP-syntax I-frame: mode bits,
-        inter-style residual events, spatial prediction from already
-        reconstructed neighbours."""
-        g = header.geometry
-        y = np.empty((g.height, g.width), dtype=np.uint8)
-        cb = np.empty((g.chroma_height, g.chroma_width), dtype=np.uint8)
-        cr = np.empty((g.chroma_height, g.chroma_width), dtype=np.uint8)
-        for r in range(header.mb_rows):
-            for c in range(header.mb_cols):
-                mode = self._reader.read_bits(INTRA_MODE_BITS)
-                if mode > 2:
-                    raise ValueError(f"illegal intra prediction mode {mode}")
-                coded_flags = _read_coded_flags(self._reader)
-                blocks = []
-                for coded in coded_flags:
-                    events = read_events(self._reader) if coded else []
-                    blocks.append(decode_inter_block(events, header.qp))
-                residual = inverse_dct(np.stack(blocks))
-                pred_y = intra_predict(y, r, c, 16, mode)
-                pred_cb = intra_predict(cb, r, c, 8, mode)
-                pred_cr = intra_predict(cr, r, c, 8, mode)
-                y[16 * r : 16 * r + 16, 16 * c : 16 * c + 16] = np.clip(
-                    np.rint(join_luma_blocks(residual[:4]) + pred_y), 0, 255
-                ).astype(np.uint8)
-                cb[8 * r : 8 * r + 8, 8 * c : 8 * c + 8] = np.clip(
-                    np.rint(residual[4] + pred_cb), 0, 255
-                ).astype(np.uint8)
-                cr[8 * r : 8 * r + 8, 8 * c : 8 * c + 8] = np.clip(
-                    np.rint(residual[5] + pred_cr), 0, 255
-                ).astype(np.uint8)
-        return Frame(y, cb, cr, index=self._frame_index)
-
-    def _decode_inter_per_block(self, header: PictureHeader) -> Frame:
-        g = header.geometry
-        refs = self._references
-        ref = refs[0]
-        if ref.geometry != g:
-            raise ValueError(f"geometry change mid-stream: {ref.geometry} → {g}")
-        y = np.empty((g.height, g.width), dtype=np.uint8)
-        cb = np.empty((g.chroma_height, g.chroma_width), dtype=np.uint8)
-        cr = np.empty((g.chroma_height, g.chroma_width), dtype=np.uint8)
-        coded_field = MotionField(header.mb_rows, header.mb_cols)
-        for r in range(header.mb_rows):
-            for c in range(header.mb_cols):
-                y0, x0 = 16 * r, 16 * c
-                cy0, cx0 = 8 * r, 8 * c
-                if self._reader.read_bit():  # COD = 1: skipped, reference 0
-                    mv = MotionVector.zero()
-                    coded_field.set(r, c, mv)
-                    y[y0 : y0 + 16, x0 : x0 + 16] = ref.y[y0 : y0 + 16, x0 : x0 + 16]
-                    cb[cy0 : cy0 + 8, cx0 : cx0 + 8] = ref.cb[cy0 : cy0 + 8, cx0 : cx0 + 8]
-                    cr[cy0 : cy0 + 8, cx0 : cx0 + 8] = ref.cr[cy0 : cy0 + 8, cx0 : cx0 + 8]
-                    continue
-                coded_flags = _read_coded_flags(self._reader)
-                source = ref
-                if header.extended:
-                    k = _read_ref_index(self._reader, header)
-                    if k >= len(refs):
-                        raise ValueError(
-                            f"picture selects reference {k} but only {len(refs)} "
-                            f"frame(s) are decoded since the last I-frame"
-                        )
-                    source = refs[k]
-                predictor = predict_mv(coded_field, r, c)
-                mv = read_mvd(self._reader, predictor)
-                coded_field.set(r, c, mv)
-                blocks = []
-                for coded in coded_flags:
-                    events = read_events(self._reader) if coded else []
-                    blocks.append(decode_inter_block(events, header.qp))
-                residual = inverse_dct(np.stack(blocks))
-                pred_y = predict_block(source.y, y0, x0, mv, 16, 16).astype(np.float64)
-                pred_cb = predict_chroma_block(source.cb, cy0, cx0, mv, header.p).astype(np.float64)
-                pred_cr = predict_chroma_block(source.cr, cy0, cx0, mv, header.p).astype(np.float64)
-                y[y0 : y0 + 16, x0 : x0 + 16] = np.clip(
-                    np.rint(join_luma_blocks(residual[:4]) + pred_y), 0, 255
-                ).astype(np.uint8)
-                cb[cy0 : cy0 + 8, cx0 : cx0 + 8] = np.clip(
-                    np.rint(residual[4] + pred_cb), 0, 255
-                ).astype(np.uint8)
-                cr[cy0 : cy0 + 8, cx0 : cx0 + 8] = np.clip(
-                    np.rint(residual[5] + pred_cr), 0, 255
-                ).astype(np.uint8)
-        return Frame(y, cb, cr, index=self._frame_index)
-
 
 def decode_bitstream(
     bitstream: bytes,
     frames: int | None = None,
-    use_engine: bool = True,
     jobs: int = 1,
     base_seed: int = 0,
     use_shm: bool = False,
@@ -967,9 +746,9 @@ def decode_bitstream(
     through the batched engine — the closed prediction loop makes
     reconstruction inherently serial, but by then the per-frame cost is
     a handful of vectorized kernels.  Version-1 streams (not splittable
-    without parsing) and the per-block reference path
-    (``use_engine=False``) ignore ``jobs`` and decode serially; results
-    are bit-identical in every mode.
+    without parsing) ignore ``jobs`` and decode serially; results are
+    bit-identical in every mode, and to the seed per-block decode kept
+    in :func:`repro.codec.reference.decode_bitstream_reference`.
 
     ``use_shm=True`` moves the parse jobs' frame payloads and parsed
     symbols through shared memory instead of the worker pipe
@@ -991,7 +770,7 @@ def decode_bitstream(
     """
     if start_frame:
         bitstream = slice_from_keyframe(bitstream, start_frame)
-    if jobs > 1 and use_engine and detect_version(bitstream) == 2:
+    if jobs > 1 and detect_version(bitstream) == 2:
         from repro.parallel import ParseFrameJob, run_jobs
 
         index = FrameIndex.scan(bitstream)
@@ -1016,7 +795,7 @@ def decode_bitstream(
                 references = [frame, *references][:MAX_REF_FRAMES]
             out.append(frame)
         return out
-    decoder = Decoder(bitstream, use_engine=use_engine, first_frame_index=start_frame)
+    decoder = Decoder(bitstream, first_frame_index=start_frame)
     out = []
     while decoder.has_more and (frames is None or len(out) < frames):
         out.append(decoder.decode_frame())

@@ -35,17 +35,11 @@ import numpy as np
 from repro.analysis.psnr import psnr
 from repro.codec.bitstream import BitWriter
 from repro.codec.dct import forward_dct, inverse_dct
-from repro.codec.intra import (
-    INTRA_MODE_BITS,
-    choose_intra_modes,
-    intra_mode_costs_reference,
-    intra_predict,
-)
+from repro.codec.intra import INTRA_MODE_BITS, choose_intra_modes, intra_predict
 from repro.codec.macroblock import (
     code_inter_block,
     code_intra_block,
     join_luma_blocks,
-    predict_chroma_block,
     split_luma_blocks,
     write_events,
 )
@@ -61,7 +55,6 @@ from repro.me.engine import (
 from repro.me.estimator import MotionEstimator, create_estimator
 from repro.me.stats import SearchStats
 from repro.obs import metrics, trace
-from repro.me.subpel import predict_block
 from repro.me.types import MotionField, MotionVector
 from repro.video.frame import Frame
 from repro.video.sequence import Sequence
@@ -211,14 +204,6 @@ class Encoder:
     keep_reconstruction:
         Store reconstructed frames on the result (handy for analysis,
         off for large sweeps to save memory).
-    use_engine:
-        ``True`` (default) runs the local reconstruction loop's motion
-        compensation whole-frame through the shared
-        :class:`ReferencePlane` / :class:`ChromaReferencePlane` caches;
-        ``False`` forces the seed per-block prediction calls.  Both
-        paths emit byte-identical bitstreams (this flag is independent
-        of the estimator's own ``use_engine``, which governs the
-        *search*).
     bitstream_version:
         ``1`` (default) emits the seed format, byte-identical to the
         original encoder: pictures packed back to back with no
@@ -249,7 +234,6 @@ class Encoder:
         qp: int = 16,
         estimator_kwargs: dict | None = None,
         keep_reconstruction: bool = True,
-        use_engine: bool = True,
         bitstream_version: int = 1,
         i_period: int | None = None,
         n_ref_frames: int = 1,
@@ -261,7 +245,6 @@ class Encoder:
             raise ValueError("estimator_kwargs only applies when estimator is a name")
         self.estimator = estimator
         self.keep_reconstruction = keep_reconstruction
-        self.use_engine = use_engine
         if bitstream_version not in (1, 2):
             raise ValueError(f"bitstream_version must be 1 or 2, got {bitstream_version}")
         self.bitstream_version = bitstream_version
@@ -344,29 +327,11 @@ class Encoder:
             else:
                 if not refs:
                     raise ValueError(f"P-frame at position {position} without a reference")
-                if self.n_ref_frames > 1:
-                    bits, recon, skipped, mv_bits, coef_bits, field, stats = (
-                        self._encode_inter_frame_multi(writer, frame, refs, prev_field)
-                    )
-                    header_bits = PICTURE_HEADER_BITS + 3
-                else:
-                    prev_recon = refs[0]
-                    # One reference cache per P-frame, shared by the motion
-                    # search and the luma motion compensation below — both
-                    # read the same interpolated half-pel samples.
-                    plane = ReferencePlane.wrap(prev_recon.y)
-                    with trace.span("encode.me"):
-                        field, stats = self.estimator.estimate(
-                            frame.y,
-                            prev_recon.y,
-                            prev_field=prev_field,
-                            qp=self.qp,
-                            ref_plane=plane,
-                        )
-                    bits, recon, skipped, mv_bits, coef_bits = self._encode_inter_frame(
-                        writer, frame, prev_recon, field, plane
-                    )
-                    header_bits = PICTURE_HEADER_BITS
+                bits, recon, skipped, mv_bits, coef_bits, field, stats = (
+                    self._encode_inter_frame_multi(writer, frame, refs, prev_field)
+                )
+                # The extended P header adds the 3-bit active-reference count.
+                header_bits = PICTURE_HEADER_BITS + (3 if self.n_ref_frames > 1 else 0)
                 record = FrameRecord(
                     index=frame.index,
                     frame_type="P",
@@ -513,19 +478,13 @@ class Encoder:
         then inter-style residual coding of the prediction error.
 
         The mode decision is open-loop on the source luma (batched
-        :func:`intra_mode_cost_surfaces` or its scalar twin — integer
-        identical, so both ``use_engine`` settings emit the same
-        bytes); the prediction itself reads the reconstructed
-        neighbours the decoder will have.
+        :func:`intra_mode_cost_surfaces`); the prediction itself reads
+        the reconstructed neighbours the decoder will have.
         """
         start_bits = writer.bit_count
         self._write_picture_header(writer, frame, "I", extended=True)
         geometry = frame.geometry
-        if self.use_engine:
-            costs = intra_mode_cost_surfaces(frame.y)
-        else:
-            costs = intra_mode_costs_reference(frame.y)
-        modes = choose_intra_modes(costs)
+        modes = choose_intra_modes(intra_mode_cost_surfaces(frame.y))
         recon_y = np.empty_like(frame.y)
         recon_cb = np.empty_like(frame.cb)
         recon_cr = np.empty_like(frame.cr)
@@ -578,81 +537,73 @@ class Encoder:
         references: list[Frame],
         prev_field: MotionField | None,
     ) -> tuple[int, Frame, int, int, int, MotionField, SearchStats]:
-        """Multi-reference P-frame: search every active reference,
-        pick each macroblock's reference by minimal compensated-luma
-        SAD (ties toward the most recent — the engine's ``argmin`` and
-        the scalar strict-less loop agree by construction), and code an
-        exp-Golomb reference index per coded macroblock.
+        """P-frame against the K most recent reconstructions.
+
+        ``n_ref_frames == 1`` is the seed syntax: one search, the seed
+        header and no reference index.  Otherwise the picture uses the
+        extended syntax: every active reference is searched, each
+        macroblock picks its reference by minimal compensated-luma SAD
+        (ties toward the most recent) and codes an exp-Golomb reference
+        index.  With a single active reference the search's field is
+        used as is — no per-MB choice to make.
+
+        Motion compensation runs whole-frame up front (the field is
+        fully decided before reconstruction), so the loop below only
+        slices three predicted planes per used reference.
         """
         active = references[: self.n_ref_frames]
+        extended = self.n_ref_frames > 1
         start_bits = writer.bit_count
-        self._write_picture_header(writer, frame, "P", extended=True, active_refs=len(active))
+        self._write_picture_header(
+            writer, frame, "P", extended=extended, active_refs=len(active)
+        )
         geometry = frame.geometry
         rows, cols = geometry.mb_rows, geometry.mb_cols
+        # One reference cache per reference frame, shared by the motion
+        # search and the luma motion compensation below — both read the
+        # same interpolated half-pel samples.
         planes = [ReferencePlane.wrap(ref.y) for ref in active]
-        fields: list[MotionField] = []
-        merged_stats = SearchStats()
         with trace.span("encode.me", references=len(active)):
-            for ref, plane in zip(active, planes):
-                f, stats = self.estimator.estimate(
+            searches = [
+                self.estimator.estimate(
                     frame.y, ref.y, prev_field=prev_field, qp=self.qp, ref_plane=plane
                 )
-                fields.append(f)
-                merged_stats.merge(stats)
-        cur = frame.y.astype(np.int64)
-        engine = (
-            self.use_engine
-            and all(p is not None for p in planes)
-            and all(f.is_complete for f in fields)
-        )
-        if engine:
+                for ref, plane in zip(active, planes)
+            ]
+        if len(searches) == 1:
+            (field, stats), = searches
+            choice = np.zeros((rows, cols), dtype=np.int64)
+            field_hx, field_hy = field.to_arrays()
+        else:
+            stats = SearchStats()
+            components = []
             sads = np.empty((len(active), rows, cols), dtype=np.int64)
-            for k, (plane, f) in enumerate(zip(planes, fields)):
-                field_hx, field_hy = f.to_arrays()
-                pred = frame_mc_luma(plane, field_hx, field_hy).astype(np.int64)
+            cur = frame.y.astype(np.int64)
+            for k, (plane, (f, search_stats)) in enumerate(zip(planes, searches)):
+                stats.merge(search_stats)
+                hx, hy = f.to_arrays()
+                components.append((hx, hy))
+                pred = frame_mc_luma(plane, hx, hy).astype(np.int64)
                 sads[k] = np.abs(cur - pred).reshape(rows, 16, cols, 16).sum(axis=(1, 3))
             choice = np.argmin(sads, axis=0)
-        else:
-            choice = np.zeros((rows, cols), dtype=np.int64)
-            for r in range(rows):
-                for c in range(cols):
-                    y0, x0 = 16 * r, 16 * c
-                    cur_block = cur[y0 : y0 + 16, x0 : x0 + 16]
-                    best_sad = None
-                    for k, f in enumerate(fields):
-                        mv = f.get(r, c)
-                        if mv is None:
-                            raise ValueError(f"motion field missing entry ({r}, {c})")
-                        pred = predict_block(active[k].y, y0, x0, mv, 16, 16).astype(np.int64)
-                        sad = int(np.abs(cur_block - pred).sum())
-                        if best_sad is None or sad < best_sad:
-                            best_sad = sad
-                            choice[r, c] = k
-        # The chosen per-MB vectors become one combined field: it feeds
-        # MVD prediction, whole-frame MC and the next frame's search.
-        field = MotionField(rows, cols)
-        for r in range(rows):
-            for c in range(cols):
-                mv = fields[int(choice[r, c])].get(r, c)
-                if mv is None:
-                    raise ValueError(f"motion field missing entry ({r}, {c})")
-                field.set(r, c, mv)
-        used = [int(k) for k in np.unique(choice)]
-        pred_planes: dict[int, tuple] = {}
-        if engine:
-            field_hx, field_hy = field.to_arrays()
-            for k in used:
-                chroma = ChromaReferencePlane.wrap(active[k].cb, active[k].cr)
-                if chroma is None:
-                    engine = False
-                    break
-                pred_planes[k] = (
-                    frame_mc_luma(planes[k], field_hx, field_hy),
-                    *chroma.mc_frame(field_hx, field_hy, self.estimator.p),
-                )
+            # The chosen per-MB vectors become one combined field: it
+            # feeds MVD prediction, whole-frame MC and the next frame's
+            # search.
+            field_hx = np.choose(choice, [hx for hx, _ in components])
+            field_hy = np.choose(choice, [hy for _, hy in components])
+            field = MotionField.from_arrays(field_hx, field_hy)
+        pred_planes = {}
+        for k in np.unique(choice).tolist():
+            chroma = ChromaReferencePlane(active[k].cb, active[k].cr)
+            pred_planes[k] = (
+                frame_mc_luma(planes[k], field_hx, field_hy),
+                *chroma.mc_frame(field_hx, field_hy, self.estimator.p),
+            )
         recon_y = np.empty_like(frame.y)
         recon_cb = np.empty_like(frame.cb)
         recon_cr = np.empty_like(frame.cr)
+        # Vectors as the decoder will see them (skip forces zero); used
+        # for median prediction of subsequent MVDs.
         coded_field = MotionField(rows, cols)
         skipped = 0
         mv_bits_total = 0
@@ -664,20 +615,10 @@ class Encoder:
                 mv = field.get(r, c)
                 y0, x0 = 16 * r, 16 * c
                 cy0, cx0 = 8 * r, 8 * c
-                if engine:
-                    plane_y, plane_cb, plane_cr = pred_planes[k]
-                    pred_y = plane_y[y0 : y0 + 16, x0 : x0 + 16].astype(np.float64)
-                    pred_cb = plane_cb[cy0 : cy0 + 8, cx0 : cx0 + 8].astype(np.float64)
-                    pred_cr = plane_cr[cy0 : cy0 + 8, cx0 : cx0 + 8].astype(np.float64)
-                else:
-                    ref = active[k]
-                    pred_y = predict_block(ref.y, y0, x0, mv, 16, 16).astype(np.float64)
-                    pred_cb = predict_chroma_block(ref.cb, cy0, cx0, mv, self.estimator.p).astype(
-                        np.float64
-                    )
-                    pred_cr = predict_chroma_block(ref.cr, cy0, cx0, mv, self.estimator.p).astype(
-                        np.float64
-                    )
+                plane_y, plane_cb, plane_cr = pred_planes[k]
+                pred_y = plane_y[y0 : y0 + 16, x0 : x0 + 16].astype(np.float64)
+                pred_cb = plane_cb[cy0 : cy0 + 8, cx0 : cx0 + 8].astype(np.float64)
+                pred_cr = plane_cr[cy0 : cy0 + 8, cx0 : cx0 + 8].astype(np.float64)
                 cur_y = frame.luma_block(r, c).astype(np.float64)
                 cur_cb, cur_cr = frame.chroma_blocks(r, c)
                 residual = np.concatenate(
@@ -689,12 +630,11 @@ class Encoder:
                 )
                 with phase("encode.transform_quant"):
                     coefficients = forward_dct(residual)
-                    coded = [code_inter_block(coefficients[k2], self.qp) for k2 in range(6)]
-                cbpy = sum((1 << k2) for k2 in range(4) if coded[k2][0])
+                    coded = [code_inter_block(coefficients[b], self.qp) for b in range(6)]
+                cbpy = sum((1 << b) for b in range(4) if coded[b][0])
                 mcbpc = (2 if coded[4][0] else 0) | (1 if coded[5][0] else 0)
                 if mv.is_zero and cbpy == 0 and mcbpc == 0 and k == 0:
-                    # Skip implies reference 0 and a zero vector, same
-                    # as the single-reference COD semantics.
+                    # COD skip: reference 0, zero vector, no residual.
                     writer.write_bit(1)
                     skipped += 1
                     coded_field.set(r, c, MotionVector.zero())
@@ -706,7 +646,8 @@ class Encoder:
                     writer.write_bit(0)  # COD: coded
                     writer.write_code(MCBPC_TABLE.encode(mcbpc))
                     writer.write_code(CBPY_TABLE.encode(cbpy))
-                    writer.write_ue(k)
+                    if extended:
+                        writer.write_ue(k)
                     predictor = predict_mv(coded_field, r, c)
                     mv_bits_total += write_mvd(writer, mv, predictor)
                     coded_field.set(r, c, mv)
@@ -723,105 +664,7 @@ class Encoder:
         phase.emit(frame=frame.index)
         total = writer.bit_count - start_bits
         recon = Frame(recon_y, recon_cb, recon_cr, index=frame.index)
-        return total, recon, skipped, mv_bits_total, coef_bits_total, field, merged_stats
-
-    def _encode_inter_frame(
-        self,
-        writer: BitWriter,
-        frame: Frame,
-        reference: Frame,
-        field: MotionField,
-        plane: ReferencePlane | None = None,
-    ) -> tuple[int, Frame, int, int, int]:
-        start_bits = writer.bit_count
-        self._write_picture_header(writer, frame, "P")
-        geometry = frame.geometry
-        recon_y = np.empty_like(frame.y)
-        recon_cb = np.empty_like(frame.cb)
-        recon_cr = np.empty_like(frame.cr)
-        # Vectors as the decoder will see them (skip forces zero); used
-        # for median prediction of subsequent MVDs.
-        coded_field = MotionField(geometry.mb_rows, geometry.mb_cols)
-        skipped = 0
-        mv_bits_total = 0
-        coef_bits_total = 0
-        luma_ref = plane if plane is not None else reference.y
-        # Whole-frame motion compensation up front: the field is fully
-        # decided before reconstruction, so the engine path predicts
-        # all three planes in three batched gathers (the chroma
-        # half-pel interpolation runs once per frame instead of twice
-        # per macroblock) and the loop below just slices them.
-        engine = self.use_engine and plane is not None and field.is_complete
-        if engine:
-            chroma = ChromaReferencePlane.wrap(reference.cb, reference.cr)
-            engine = chroma is not None
-        if engine:
-            field_hx, field_hy = field.to_arrays()
-            pred_y_plane = frame_mc_luma(plane, field_hx, field_hy)
-            pred_cb_plane, pred_cr_plane = chroma.mc_frame(field_hx, field_hy, self.estimator.p)
-        phase = trace.phases()
-        for r in range(geometry.mb_rows):
-            for c in range(geometry.mb_cols):
-                mv = field.get(r, c)
-                if mv is None:
-                    raise ValueError(f"motion field missing entry ({r}, {c})")
-                y0, x0 = 16 * r, 16 * c
-                cy0, cx0 = 8 * r, 8 * c
-                if engine:
-                    pred_y = pred_y_plane[y0 : y0 + 16, x0 : x0 + 16].astype(np.float64)
-                    pred_cb = pred_cb_plane[cy0 : cy0 + 8, cx0 : cx0 + 8].astype(np.float64)
-                    pred_cr = pred_cr_plane[cy0 : cy0 + 8, cx0 : cx0 + 8].astype(np.float64)
-                else:
-                    pred_y = predict_block(luma_ref, y0, x0, mv, 16, 16).astype(np.float64)
-                    pred_cb = predict_chroma_block(
-                        reference.cb, cy0, cx0, mv, self.estimator.p
-                    ).astype(np.float64)
-                    pred_cr = predict_chroma_block(
-                        reference.cr, cy0, cx0, mv, self.estimator.p
-                    ).astype(np.float64)
-                cur_y = frame.luma_block(r, c).astype(np.float64)
-                cur_cb, cur_cr = frame.chroma_blocks(r, c)
-                residual = np.concatenate(
-                    [
-                        split_luma_blocks(cur_y - pred_y),
-                        (cur_cb.astype(np.float64) - pred_cb)[None],
-                        (cur_cr.astype(np.float64) - pred_cr)[None],
-                    ]
-                )
-                with phase("encode.transform_quant"):
-                    coefficients = forward_dct(residual)
-                    coded = [code_inter_block(coefficients[k], self.qp) for k in range(6)]
-                cbpy = sum((1 << k) for k in range(4) if coded[k][0])
-                mcbpc = (2 if coded[4][0] else 0) | (1 if coded[5][0] else 0)
-                if mv.is_zero and cbpy == 0 and mcbpc == 0:
-                    writer.write_bit(1)  # COD: skipped
-                    skipped += 1
-                    coded_field.set(r, c, MotionVector.zero())
-                    recon_y[y0 : y0 + 16, x0 : x0 + 16] = pred_y.astype(np.uint8)
-                    recon_cb[cy0 : cy0 + 8, cx0 : cx0 + 8] = pred_cb.astype(np.uint8)
-                    recon_cr[cy0 : cy0 + 8, cx0 : cx0 + 8] = pred_cr.astype(np.uint8)
-                    continue
-                with phase("encode.entropy"):
-                    writer.write_bit(0)  # COD: coded
-                    writer.write_code(MCBPC_TABLE.encode(mcbpc))
-                    writer.write_code(CBPY_TABLE.encode(cbpy))
-                    predictor = predict_mv(coded_field, r, c)
-                    mv_bits_total += write_mvd(writer, mv, predictor)
-                    coded_field.set(r, c, mv)
-                    for events, _ in coded:
-                        if events:
-                            coef_bits_total += write_events(writer, events)
-                recon_residual = inverse_dct(np.stack([rc for _, rc in coded]))
-                rec_y = np.clip(np.rint(join_luma_blocks(recon_residual[:4]) + pred_y), 0, 255)
-                rec_cb = np.clip(np.rint(recon_residual[4] + pred_cb), 0, 255)
-                rec_cr = np.clip(np.rint(recon_residual[5] + pred_cr), 0, 255)
-                recon_y[y0 : y0 + 16, x0 : x0 + 16] = rec_y.astype(np.uint8)
-                recon_cb[cy0 : cy0 + 8, cx0 : cx0 + 8] = rec_cb.astype(np.uint8)
-                recon_cr[cy0 : cy0 + 8, cx0 : cx0 + 8] = rec_cr.astype(np.uint8)
-        phase.emit(frame=frame.index)
-        total = writer.bit_count - start_bits
-        recon = Frame(recon_y, recon_cb, recon_cr, index=frame.index)
-        return total, recon, skipped, mv_bits_total, coef_bits_total
+        return total, recon, skipped, mv_bits_total, coef_bits_total, field, stats
 
 
 def encode_sequence(
@@ -830,7 +673,6 @@ def encode_sequence(
     estimator: MotionEstimator | str = "acbm",
     estimator_kwargs: dict | None = None,
     keep_reconstruction: bool = False,
-    use_engine: bool = True,
     bitstream_version: int = 1,
     i_period: int | None = None,
     n_ref_frames: int = 1,
@@ -848,7 +690,6 @@ def encode_sequence(
         qp=qp,
         estimator_kwargs=estimator_kwargs,
         keep_reconstruction=keep_reconstruction,
-        use_engine=use_engine,
         bitstream_version=bitstream_version,
         i_period=i_period,
         n_ref_frames=n_ref_frames,

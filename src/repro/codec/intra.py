@@ -15,9 +15,9 @@ coded in two fixed bits ahead of the MCBPC/CBPY pair.
 Two decision/prediction planes keep the closed loop exact:
 
 * the **mode decision** is open-loop — costs are SADs against the
-  *source* luma (:func:`intra_mode_costs_reference` here, or the
-  batched :func:`repro.me.engine.intra_mode_cost_surfaces`, pinned
-  integer-identical), so the engine and seed paths pick the same mode;
+  *source* luma (:func:`repro.me.engine.intra_mode_cost_surfaces`,
+  pinned integer-identical to the per-block scalar
+  :func:`repro.codec.reference.intra_mode_costs_reference`);
 * the **prediction** is closed-loop — :func:`intra_predict` reads the
   *reconstructed* neighbours the decoder will have, so encoder and
   decoder reconstructions match bit for bit.
@@ -47,7 +47,6 @@ __all__ = [
     "INTRA_UNAVAILABLE_COST",
     "INTRA_VERTICAL",
     "choose_intra_modes",
-    "intra_mode_costs_reference",
     "intra_predict",
 ]
 
@@ -75,34 +74,7 @@ def intra_predict(
     return np.full((size, size), 128.0)
 
 
-def intra_mode_costs_reference(y: np.ndarray) -> np.ndarray:
-    """Per-macroblock SAD of each intra mode against the source luma.
-
-    The seed (per-block scalar) twin of the batched
-    :func:`repro.me.engine.intra_mode_cost_surfaces`; both return the
-    same ``(3, mb_rows, mb_cols)`` ``int64`` surface, which is what
-    keeps ``use_engine=True`` and ``False`` encodes byte-identical.
-    Unavailable modes cost :data:`INTRA_UNAVAILABLE_COST`.
-    """
-    rows, cols = y.shape[0] // 16, y.shape[1] // 16
-    cur = y.astype(np.int64)
-    costs = np.full((3, rows, cols), INTRA_UNAVAILABLE_COST, dtype=np.int64)
-    for r in range(rows):
-        for c in range(cols):
-            y0, x0 = 16 * r, 16 * c
-            block = cur[y0 : y0 + 16, x0 : x0 + 16]
-            costs[INTRA_DC, r, c] = int(np.abs(block - 128).sum())
-            if r > 0:
-                above = cur[y0 - 1, x0 : x0 + 16]
-                costs[INTRA_VERTICAL, r, c] = int(np.abs(block - above[None, :]).sum())
-            if c > 0:
-                left = cur[y0 : y0 + 16, x0 - 1]
-                costs[INTRA_HORIZONTAL, r, c] = int(np.abs(block - left[:, None]).sum())
-    return costs
-
-
 def choose_intra_modes(costs: np.ndarray) -> np.ndarray:
     """Mode index per macroblock from a cost surface: minimal SAD, ties
-    broken toward the lowest mode index (DC first) — the rule both the
-    batched and scalar surfaces share."""
+    broken toward the lowest mode index (DC first)."""
     return np.argmin(costs, axis=0)

@@ -91,10 +91,9 @@ class ACBMEstimator(MotionEstimator):
         params: ACBMParameters | None = None,
         refine_steps: int = 2,
         lagrangian: bool = False,
-        use_engine: bool = True,
         surface_threshold: int = 12,
     ) -> None:
-        super().__init__(p=p, block_size=block_size, half_pel=half_pel, use_engine=use_engine)
+        super().__init__(p=p, block_size=block_size, half_pel=half_pel)
         if surface_threshold < 0:
             raise ValueError(f"surface_threshold must be >= 0, got {surface_threshold}")
         self.params = params if params is not None else ACBMParameters.paper_defaults()
@@ -121,12 +120,13 @@ class ACBMEstimator(MotionEstimator):
         Built lazily in the frame driver's shared cache once this
         frame's critical-block count crosses ``surface_threshold``; a
         single batched pass then serves every later critical block's
-        full search.  Returns ``None`` when the engine is off, the
-        frame has no shared cache (bare ``search_block`` calls), or the
-        geometry is outside the batched kernel's envelope.
+        full search.  Returns ``None`` when the frame has no shared
+        reference cache (the seed per-block walk) or no frame cache
+        (bare ``search_block`` calls), or the geometry is outside the
+        batched kernel's envelope.
         """
         cache = ctx.frame_cache
-        if cache is None or ctx.ref_plane is None or not self.use_engine:
+        if cache is None or ctx.ref_plane is None:
             return None
         key = "acbm_critical_surfaces"
         if key not in cache:

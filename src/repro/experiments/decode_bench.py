@@ -4,13 +4,14 @@ Not a paper table — this is the serving-side counterpart of the kernel
 benchmarks, covering the decoder's two cost axes:
 
 * :func:`run_decode_bench` — whole-stream decode through the batched
-  engine reconstruction vs the seed per-block loop (bit-identity
-  verified first, against each other *and* the encoder's closed-loop
-  reconstruction).  With ``bitstream_version=2`` the verification set
-  also covers the start-code frame index and the parallel symbol parse
+  engine reconstruction vs the seed per-block decode of
+  :mod:`repro.codec.reference` (bit-identity verified first, against
+  each other *and* the encoder's closed-loop reconstruction).  With
+  ``bitstream_version=2`` the verification set also covers the
+  start-code frame index and the parallel symbol parse
   (``decode_bitstream(..., jobs=N)`` vs serial).
 * :func:`run_parse_bench` — the symbol parse alone: the LUT + word-level
-  reader against the seed per-bit reader over the same bytes, after
+  reader against the reference per-bit parse over the same bytes, after
   asserting both produce identical :class:`ParsedPicture` symbols.  The
   reconstruction-only cost of the parsed stream is timed alongside, so
   parse vs reconstruct shares are reported separately
@@ -29,7 +30,6 @@ import time
 from dataclasses import dataclass
 from pathlib import Path
 
-from repro.codec.bitstream import ScalarBitReader
 from repro.codec.decoder import (
     FrameIndex,
     decode_bitstream,
@@ -37,6 +37,7 @@ from repro.codec.decoder import (
     reconstruct_picture,
 )
 from repro.codec.encoder import encode_sequence
+from repro.codec.reference import decode_bitstream_reference, parse_bitstream_reference
 from repro.parallel import DecodeJob, run_jobs
 from repro.video.synthesis.sequences import make_sequence
 
@@ -195,10 +196,10 @@ def run_decode_bench(
     Pass a prebuilt ``EncodeResult`` (with ``keep_reconstruction=True``
     and matching parameters) via ``encode`` to skip the encode — the
     benchmark suite reuses one shared encode across its tests.
-    ``jobs > 1`` runs the two *verification* decodes as parallel
-    :class:`repro.parallel.DecodeJob` specs; the timed decodes always
-    run serially in this process (anything else would corrupt the
-    wall-clock comparison).
+    The batched verification decode runs as a
+    :class:`repro.parallel.DecodeJob` and the per-block one in this
+    process; the timed decodes always run serially in this process
+    (anything else would corrupt the wall-clock comparison).
 
     ``bitstream_version=2`` additionally scans the stream with
     :class:`~repro.codec.decoder.FrameIndex` and verifies the parallel
@@ -217,12 +218,8 @@ def run_decode_bench(
     sequence, qp, estimator = encode.name, encode.qp, encode.estimator_name
     frames = len(encode.reconstruction)
     bitstream = encode.bitstream
-    batched, per_block = run_jobs(
-        [DecodeJob(bitstream, use_engine=True), DecodeJob(bitstream, use_engine=False)],
-        workers=jobs,
-        base_seed=seed,
-        use_shm=use_shm,
-    )
+    [batched] = run_jobs([DecodeJob(bitstream)], workers=jobs, base_seed=seed, use_shm=use_shm)
+    per_block = decode_bitstream_reference(bitstream)
     reconstruction_identical = (
         len(batched) == len(per_block) == len(encode.reconstruction)
         and all(b == s for b, s in zip(batched, per_block))
@@ -237,8 +234,8 @@ def run_decode_bench(
         parallel_identical = len(index) == len(parallel) == len(batched) and all(
             p == b for p, b in zip(parallel, batched)
         )
-    batched_s = _best_of(lambda: decode_bitstream(bitstream, use_engine=True), rounds)
-    per_block_s = _best_of(lambda: decode_bitstream(bitstream, use_engine=False), rounds)
+    batched_s = _best_of(lambda: decode_bitstream(bitstream), rounds)
+    per_block_s = _best_of(lambda: decode_bitstream_reference(bitstream), rounds)
     return DecodeBenchResult(
         sequence=sequence,
         frames=frames,
@@ -274,7 +271,7 @@ def run_parse_bench(
     frames = len(encode.reconstruction)
     bitstream = encode.bitstream
     parsed_lut = parse_bitstream_symbols(bitstream)
-    parsed_seed = parse_bitstream_symbols(bitstream, reader_factory=ScalarBitReader)
+    parsed_seed = parse_bitstream_reference(bitstream)
     identical = len(parsed_lut) == len(parsed_seed) == frames and all(
         a == b for a, b in zip(parsed_lut, parsed_seed)
     )
@@ -285,9 +282,7 @@ def run_parse_bench(
             reference = reconstruct_picture(picture, reference, i)
 
     lut_s = _best_of(lambda: parse_bitstream_symbols(bitstream), rounds)
-    seed_s = _best_of(
-        lambda: parse_bitstream_symbols(bitstream, reader_factory=ScalarBitReader), rounds
-    )
+    seed_s = _best_of(lambda: parse_bitstream_reference(bitstream), rounds)
     reconstruct_s = _best_of(reconstruct_all, rounds)
     return ParseBenchResult(
         sequence=sequence,

@@ -31,7 +31,8 @@ backend for the hot loops (:mod:`repro.kernels`); it overrides the
 Each paper subcommand prints the same rows/series the corresponding
 table or figure reports; ``decode-bench`` runs an encode→decode round
 trip and times the batched reconstruction path against the seed
-per-block decoder (bit-identity verified first).  ``--parse-only``
+per-block decoder of :mod:`repro.codec.reference` (bit-identity
+verified first).  ``--parse-only``
 times the VLC symbol parse alone (LUT + word-level reader vs the seed
 per-bit reader); ``--bitstream-version 2`` exercises the start-code
 frame index and the parallel symbol parse.
@@ -197,10 +198,10 @@ def cmd_decode_bench(args: argparse.Namespace) -> int:
         result = run_parse_bench(**common)
         failure = "ERROR: parse paths disagree (LUT reader != seed bit reader)"
     else:
-        if args.shm and args.bitstream_version != 2 and args.jobs <= 1:
+        if args.shm and args.bitstream_version != 2:
             print(
-                "error: --shm exercises the parallel transports; pair it with "
-                "--jobs >= 2 and/or --bitstream-version 2",
+                "error: --shm exercises the parallel parse transport; pair it "
+                "with --bitstream-version 2",
                 file=sys.stderr,
             )
             return 2

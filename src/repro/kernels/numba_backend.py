@@ -200,7 +200,7 @@ def k_scan_block(data, pos, nbits, lut, first_bits, zigzag, out_flat, skip_first
 # -- picture-body grammar kernels -----------------------------------------
 #
 # Whole macroblock layers in one nopython call: the compiled mirrors of
-# the decoder's _parse_*_body_fast walks.  Every return carries the
+# the decoder's _parse_*_body walks.  Every return carries the
 # output arrays (numba needs consistent return types); status != 0 means
 # "arrays are garbage, replay from pos in Python".
 

@@ -43,16 +43,6 @@ class ChromaReferencePlane:
         if self.cb.shape != self.cr.shape:
             raise ValueError(f"Cb/Cr shapes differ: {self.cb.shape} vs {self.cr.shape}")
 
-    @staticmethod
-    def wrap(cb: np.ndarray, cr: np.ndarray) -> "ChromaReferencePlane | None":
-        """Coerce to a chroma cache; ``None`` when either plane is not
-        cacheable (wrong dtype/shape), in which case callers fall back
-        to the per-block interpolation path."""
-        try:
-            return ChromaReferencePlane(cb, cr)
-        except ValueError:
-            return None
-
     @property
     def shape(self) -> tuple[int, int]:
         """Chroma plane dimensions (height, width)."""

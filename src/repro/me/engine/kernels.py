@@ -438,10 +438,9 @@ def intra_mode_cost_surfaces(y: np.ndarray, block_size: int = 16) -> np.ndarray:
 
     Returns a ``(3, rows, cols)`` ``int64`` surface ordered DC /
     vertical / horizontal (:mod:`repro.codec.intra` mode indices),
-    computed against the *source* luma — the batched twin of
-    :func:`repro.codec.intra.intra_mode_costs_reference`, integer-exact
-    with it so the engine and seed encoder paths choose identical modes
-    (and therefore emit identical bytes).  Unavailable modes carry
+    computed against the *source* luma — the batched twin of the seed
+    :func:`repro.codec.reference.intra_mode_costs_reference`,
+    integer-exact with it.  Unavailable modes carry
     :data:`INTRA_UNAVAILABLE_COST`.
     """
     return get_backend().intra_mode_costs(y, block_size)

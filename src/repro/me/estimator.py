@@ -19,7 +19,11 @@ and each block's evaluator is seeded with the precomputed SADs.
 ``estimate`` also builds one :class:`repro.me.engine.ReferencePlane`
 per call (or accepts a shared one from the encoder) so every search's
 half-pel candidates read a single cached interpolation of the
-reference rather than re-deriving it per candidate.
+reference rather than re-deriving it per candidate.  Calling
+``estimate_frame`` with ``plane=None`` skips every batched stage and
+runs the seed per-block search —
+:func:`repro.codec.reference.estimate_reference`, the oracle the golden
+tests hold each estimator to.
 
 Estimators are stateless between frames; temporal context (the previous
 frame's motion field) is passed in explicitly so the same instance can
@@ -53,7 +57,8 @@ class BlockContext:
     prev_field: MotionField | None
     qp: int
     #: Shared per-frame cache (half-pel plane etc.); ``None`` when the
-    #: reference is not cacheable or the engine is disabled.
+    #: reference is not cacheable, and in the seed per-block walk
+    #: :func:`repro.codec.reference.estimate_reference` runs.
     ref_plane: ReferencePlane | None = None
     #: Pre-scored first-ring SADs for *this* block, keyed by ``(dx, dy)``
     #: — filled by the frame driver from one :func:`frame_ring_sad`
@@ -101,11 +106,6 @@ class MotionEstimator(ABC):
     half_pel:
         Whether the final vector is refined to half-pel precision, as
         in the paper's H.263 setting.
-    use_engine:
-        When True (default) the frame driver builds a shared
-        :class:`ReferencePlane` per call and batch paths may engage;
-        False forces the seed's per-block, per-candidate evaluation —
-        the golden tests and benchmarks compare the two.
     """
 
     #: Registry key; subclasses override.
@@ -116,7 +116,6 @@ class MotionEstimator(ABC):
         p: int = 15,
         block_size: int = 16,
         half_pel: bool = True,
-        use_engine: bool = True,
     ) -> None:
         if p < 1:
             raise ValueError(f"p must be >= 1, got {p}")
@@ -125,7 +124,6 @@ class MotionEstimator(ABC):
         self.p = p
         self.block_size = block_size
         self.half_pel = half_pel
-        self.use_engine = use_engine
 
     @abstractmethod
     def search_block(self, ctx: BlockContext) -> BlockResult:
@@ -152,7 +150,7 @@ class MotionEstimator(ABC):
         or ``None`` when ring batching does not apply.  Candidates whose
         block leaves the plane are dropped (the evaluator's window test
         rejects them before the warm cache is consulted anyway)."""
-        if plane is None or not self.use_engine:
+        if plane is None:
             return None
         ring = self.first_ring()
         if not ring:
@@ -196,22 +194,20 @@ class MotionEstimator(ABC):
                 f"previous field {prev_field.mb_rows}x{prev_field.mb_cols} "
                 f"does not match {rows}x{cols} grid"
             )
-        plane: ReferencePlane | None = None
-        if self.use_engine:
-            if ref_plane is not None:
-                # A stale cache (e.g. hoisted out of a frame loop) would
-                # silently search the wrong frame; the equality check is
-                # trivially cheap next to one frame's search.
-                if ref_plane.luma is not ref and (
-                    ref_plane.shape != ref.shape or not np.array_equal(ref_plane.luma, ref)
-                ):
-                    raise ValueError(
-                        f"ref_plane {ref_plane.shape} does not wrap this reference "
-                        f"{ref.shape}: build one ReferencePlane per reference frame"
-                    )
-                plane = ref_plane
-            else:
-                plane = ReferencePlane.wrap(ref)
+        if ref_plane is not None:
+            # A stale cache (e.g. hoisted out of a frame loop) would
+            # silently search the wrong frame; the equality check is
+            # trivially cheap next to one frame's search.
+            if ref_plane.luma is not ref and (
+                ref_plane.shape != ref.shape or not np.array_equal(ref_plane.luma, ref)
+            ):
+                raise ValueError(
+                    f"ref_plane {ref_plane.shape} does not wrap this reference "
+                    f"{ref.shape}: build one ReferencePlane per reference frame"
+                )
+            plane = ref_plane
+        else:
+            plane = ReferencePlane.wrap(ref)
         return self.estimate_frame(cur, ref, plane, prev_field, qp)
 
     def estimate_frame(

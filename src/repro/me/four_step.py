@@ -39,9 +39,8 @@ class FourStepEstimator(MotionEstimator):
         block_size: int = 16,
         half_pel: bool = True,
         max_recentres: int = 2,
-        use_engine: bool = True,
     ) -> None:
-        super().__init__(p=p, block_size=block_size, half_pel=half_pel, use_engine=use_engine)
+        super().__init__(p=p, block_size=block_size, half_pel=half_pel)
         if max_recentres < 0:
             raise ValueError(f"max_recentres must be >= 0, got {max_recentres}")
         self.max_recentres = max_recentres

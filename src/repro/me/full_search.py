@@ -9,7 +9,8 @@ Two equivalent paths produce the decision:
 
 * the per-block path (:meth:`FullSearchEstimator.search_block`): a
   vectorized SAD map over one block's window — the seed implementation,
-  kept as the fallback and the golden reference;
+  kept as the fallback outside the batched kernel's envelope and as the
+  golden reference (:func:`repro.codec.reference.estimate_reference`);
 * the frame path (:meth:`FullSearchEstimator.estimate_frame`): the
   engine's :func:`repro.me.engine.frame_sad_surfaces` computes every
   block's surface in one batched pass and the half-pel stage reads the
@@ -115,10 +116,10 @@ class FullSearchEstimator(MotionEstimator):
     ) -> tuple[MotionField, SearchStats]:
         """Whole-frame batched FSBM via the engine kernels.
 
-        Falls back to the per-block raster walk when the engine is off
-        or the geometry is outside the fast path's envelope; both paths
-        emit bit-identical fields, SADs and position counts (proven by
-        the golden tests in ``tests/test_engine.py``).
+        Falls back to the per-block raster walk without a reference
+        plane (the seed oracle) or outside the fast path's envelope;
+        both paths emit bit-identical fields, SADs and position counts
+        (proven by the golden tests in ``tests/test_engine.py``).
         """
         if (
             plane is None

@@ -31,9 +31,8 @@ class HexagonEstimator(MotionEstimator):
         block_size: int = 16,
         half_pel: bool = True,
         max_recentres: int = 32,
-        use_engine: bool = True,
     ) -> None:
-        super().__init__(p=p, block_size=block_size, half_pel=half_pel, use_engine=use_engine)
+        super().__init__(p=p, block_size=block_size, half_pel=half_pel)
         if max_recentres < 1:
             raise ValueError(f"max_recentres must be >= 1, got {max_recentres}")
         self.max_recentres = max_recentres

@@ -87,9 +87,8 @@ class PredictiveEstimator(MotionEstimator):
         block_size: int = 16,
         half_pel: bool = True,
         refine_steps: int = 2,
-        use_engine: bool = True,
     ) -> None:
-        super().__init__(p=p, block_size=block_size, half_pel=half_pel, use_engine=use_engine)
+        super().__init__(p=p, block_size=block_size, half_pel=half_pel)
         if refine_steps < 0:
             raise ValueError(f"refine_steps must be >= 0, got {refine_steps}")
         self.refine_steps = refine_steps

@@ -44,7 +44,6 @@ def encode_sequence_parallel(
     jobs: int = 1,
     base_seed: int = 0,
     bitstream_version: int = 2,
-    use_engine: bool = True,
     progress: ProgressFn | None = None,
     use_shm: bool | str = False,
 ) -> EncodeResult:
@@ -104,7 +103,6 @@ def encode_sequence_parallel(
             i_period=i_period,
             n_ref_frames=n_ref_frames,
             bitstream_version=bitstream_version,
-            use_engine=use_engine,
             estimator_kwargs=kwargs_spec,
         )
         for start, end in split_gops(len(frames), i_period)

@@ -11,7 +11,7 @@ bit-identical to the serial decode in every mode.
 import numpy as np
 import pytest
 
-from repro.codec.bitstream import BitReader, ScalarBitReader
+from repro.codec.bitstream import BitReader
 from repro.codec.decoder import (
     FrameIndex,
     ParsedPicture,
@@ -27,8 +27,14 @@ from repro.codec.encoder import (
     Encoder,
     encode_sequence,
 )
+from repro.codec.reference import decode_bitstream_reference, parse_bitstream_reference
 from repro.parallel import ParseFrameJob, run_jobs
+from repro.streaming import stream_decode
+from repro.video.frame import Frame
+from repro.video.sequence import Sequence
 from repro.video.synthesis.sequences import make_sequence
+
+from .conftest import textured_plane
 
 
 @pytest.fixture(scope="module")
@@ -157,19 +163,19 @@ class TestFrameIndex:
 
 
 class TestDecodeEquivalence:
-    @pytest.mark.parametrize("use_engine", [True, False])
-    def test_both_versions_both_paths(self, v1, v2, use_engine):
+    @pytest.mark.parametrize("reference", [True, False])
+    def test_both_versions_both_paths(self, v1, v2, reference):
+        """Production decode and the seed reference decode."""
+        decode = decode_bitstream_reference if reference else decode_bitstream
         for encode in (v1, v2):
-            decoded = decode_bitstream(encode.bitstream, use_engine=use_engine)
+            decoded = decode(encode.bitstream)
             assert len(decoded) == len(encode.reconstruction)
             assert all(d == r for d, r in zip(decoded, encode.reconstruction))
 
     def test_lut_parse_equals_seed_parse(self, v1, v2):
         for encode in (v1, v2):
             fast = parse_bitstream_symbols(encode.bitstream)
-            seed = parse_bitstream_symbols(
-                encode.bitstream, reader_factory=ScalarBitReader
-            )
+            seed = parse_bitstream_reference(encode.bitstream)
             assert len(fast) == len(seed) == len(encode.reconstruction)
             assert all(a == b for a, b in zip(fast, seed))
 
@@ -207,19 +213,13 @@ class TestParallelParse:
     def test_jobs_respects_frame_limit(self, v2):
         assert len(decode_bitstream(v2.bitstream, frames=2, jobs=2)) == 2
 
-    def test_jobs_ignored_for_v1_and_per_block(self, v1, v2):
-        """Non-splittable modes fall back to the serial decoder."""
+    def test_jobs_ignored_for_v1(self, v1):
+        """A version-1 stream is not splittable: it falls back to the
+        serial decoder."""
         assert all(
             a == b
             for a, b in zip(
                 decode_bitstream(v1.bitstream, jobs=4), decode_bitstream(v1.bitstream)
-            )
-        )
-        assert all(
-            a == b
-            for a, b in zip(
-                decode_bitstream(v2.bitstream, use_engine=False, jobs=4),
-                decode_bitstream(v2.bitstream),
             )
         )
 
@@ -287,3 +287,27 @@ class TestParsedPicture:
                 picture.header.mb_rows,
                 picture.header.mb_cols,
             )
+
+
+class TestGeometryChange:
+    @pytest.mark.parametrize("path", ["serial", "jobs", "stream", "reference"])
+    def test_mid_stream_geometry_change_rejected_by_every_path(self, v2, path):
+        """No encoder emits a geometry change (``StreamEncoder`` rejects
+        mixed geometries), so a decoder must not accept one either —
+        not even at an I-frame, which resets the reference list.  A
+        QCIF stream followed by a 48x32 stream fails in the serial,
+        indexed-parallel, streaming and reference decoders alike."""
+        small = Sequence(
+            [Frame(textured_plane(32, 48, seed=s), index=i) for i, s in enumerate((3, 4))],
+            fps=30,
+        )
+        tail = encode_sequence(small, qp=20, estimator="tss", bitstream_version=2)
+        stream = v2.bitstream + tail.bitstream
+        decoders = {
+            "serial": lambda: decode_bitstream(stream),
+            "jobs": lambda: decode_bitstream(stream, jobs=2),
+            "stream": lambda: list(stream_decode([stream])),
+            "reference": lambda: decode_bitstream_reference(stream),
+        }
+        with pytest.raises(ValueError, match="geometry change mid-stream"):
+            decoders[path]()

@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.codec.reference import estimate_reference
 from repro.me.candidates import CandidateEvaluator
 from repro.me.engine import (
     SURFACE_SENTINEL,
@@ -321,13 +322,12 @@ class TestGoldenEstimators:
     def test_fsbm_batch_identical_to_per_block(self, half_pel, p, maker):
         """The tentpole guarantee: FSBM via the engine's estimate_frame
         emits bit-identical motion fields, SADs and SearchStats position
-        counts to the seed per-block path."""
+        counts to the seed per-block path (the reference oracle)."""
         ref = maker()
         cur = shifted_plane(ref, 1, 2)
-        batched = FullSearchEstimator(p=p, half_pel=half_pel, use_engine=True)
-        per_block = FullSearchEstimator(p=p, half_pel=half_pel, use_engine=False)
-        field_b, stats_b = batched.estimate(cur, ref)
-        field_s, stats_s = per_block.estimate(cur, ref)
+        est = FullSearchEstimator(p=p, half_pel=half_pel)
+        field_b, stats_b = est.estimate(cur, ref)
+        field_s, stats_s = estimate_reference(est, cur, ref)
         assert fields_identical(field_b, field_s)
         assert stats_b.positions == stats_s.positions
         assert stats_b.blocks == stats_s.blocks
@@ -339,42 +339,41 @@ class TestGoldenEstimators:
         from repro.video.synthesis.sequences import make_sequence
 
         seq = make_sequence("foreman", frames=3, seed=0)
-        batched = FullSearchEstimator(p=15, use_engine=True)
-        per_block = FullSearchEstimator(p=15, use_engine=False)
+        est = FullSearchEstimator(p=15)
         for i in range(1, len(seq)):
-            field_b, stats_b = batched.estimate(seq[i].y, seq[i - 1].y)
-            field_s, stats_s = per_block.estimate(seq[i].y, seq[i - 1].y)
+            field_b, stats_b = est.estimate(seq[i].y, seq[i - 1].y)
+            field_s, stats_s = estimate_reference(est, seq[i].y, seq[i - 1].y)
             assert fields_identical(field_b, field_s)
             assert stats_b.positions == stats_s.positions
 
     @pytest.mark.parametrize("name", sorted(available_estimators()))
     def test_every_estimator_unchanged_by_engine(self, name):
-        """All eight registered searches ride the shared plane and the
-        batched candidate scorer; none may change a single decision."""
+        """Every registered search rides the shared plane and the
+        batched candidate scorer; none may change a single decision
+        against its seed per-block walk."""
         ref = textured_plane(48, 64, seed=80)
         cur = shifted_plane(ref, -1, 2)
-        on = create_estimator(name, p=7, use_engine=True)
-        off = create_estimator(name, p=7, use_engine=False)
-        prev = None
-        field_on, stats_on = on.estimate(cur, ref, prev_field=prev)
-        field_off, stats_off = off.estimate(cur, ref, prev_field=prev)
+        est = create_estimator(name, p=7)
+        field_on, stats_on = est.estimate(cur, ref)
+        field_off, stats_off = estimate_reference(est, cur, ref)
         assert fields_identical(field_on, field_off)
         assert stats_on.positions == stats_off.positions
         assert stats_on.decisions == stats_off.decisions
 
     def test_encoder_bitstream_unchanged_by_engine(self):
-        """End to end: engine on/off produces byte-identical bitstreams
-        through the closed-loop encoder."""
+        """End to end: the batched search and the seed per-block search
+        produce byte-identical bitstreams through the closed-loop
+        encoder."""
         from repro.codec.encoder import encode_sequence
         from repro.video.synthesis.sequences import make_sequence
 
+        class SeedSearchFSBM(FullSearchEstimator):
+            def estimate(self, current, reference, prev_field=None, qp=16, ref_plane=None):
+                return estimate_reference(self, current, reference, prev_field, qp)
+
         seq = make_sequence("miss_america", frames=3, seed=1)
-        on = encode_sequence(
-            seq, qp=16, estimator="fsbm", estimator_kwargs={"use_engine": True}
-        )
-        off = encode_sequence(
-            seq, qp=16, estimator="fsbm", estimator_kwargs={"use_engine": False}
-        )
+        on = encode_sequence(seq, qp=16, estimator="fsbm")
+        off = encode_sequence(seq, qp=16, estimator=SeedSearchFSBM())
         assert on.bitstream == off.bitstream
         assert on.mean_psnr_y == off.mean_psnr_y
         assert on.search_stats.positions == off.search_stats.positions

@@ -6,8 +6,9 @@ The contracts under test:
 * the default configuration (``i_period=None``, ``n_ref_frames=1``)
   still emits the **seed syntax byte-for-byte** — pinned by SHA-256
   against pre-GOP encodes;
-* GOP streams round-trip bit-identically through every decode path
-  (batched engine, per-block reference, seed ``ScalarBitReader``);
+* GOP streams round-trip bit-identically through the production
+  decoder and the seed reference of :mod:`repro.codec.reference`
+  (per-bit parse, per-block reconstruction);
 * an I-frame resets the reference list, so per-GOP parallel encode
   splices a stream **byte-identical** to the serial encoder for any
   ``--jobs``;
@@ -20,7 +21,6 @@ import hashlib
 import numpy as np
 import pytest
 
-from repro.codec.bitstream import ScalarBitReader
 from repro.codec.decoder import (
     FrameIndex,
     decode_bitstream,
@@ -32,11 +32,11 @@ from repro.codec.encoder import (
     Encoder,
     encode_sequence,
 )
-from repro.codec.intra import (
-    INTRA_VERTICAL,
-    choose_intra_modes,
+from repro.codec.intra import INTRA_VERTICAL, choose_intra_modes, intra_predict
+from repro.codec.reference import (
+    decode_bitstream_reference,
     intra_mode_costs_reference,
-    intra_predict,
+    parse_bitstream_reference,
 )
 from repro.me.engine import intra_mode_cost_surfaces
 from repro.parallel import encode_sequence_parallel, split_gops
@@ -156,21 +156,13 @@ class TestGopRoundTrip:
             i_period=I_PERIOD,
         )
         engine = decode_bitstream(result.bitstream)
-        per_block = decode_bitstream(result.bitstream, use_engine=False)
+        per_block = decode_bitstream_reference(result.bitstream)
         assert engine == result.reconstruction
         assert per_block == result.reconstruction
         # The seed one-bit-at-a-time reader parses identical symbols.
         lut = parse_bitstream_symbols(result.bitstream)
-        seed = parse_bitstream_symbols(result.bitstream, reader_factory=ScalarBitReader)
+        seed = parse_bitstream_reference(result.bitstream)
         assert lut == seed
-
-    def test_engine_and_scalar_encodes_byte_identical(self, clip):
-        kwargs = dict(
-            qp=18, estimator="tss", bitstream_version=2, i_period=I_PERIOD, n_ref_frames=2
-        )
-        batched = encode_sequence(clip, use_engine=True, **kwargs)
-        scalar = encode_sequence(clip, use_engine=False, **kwargs)
-        assert batched.bitstream == scalar.bitstream
 
     def test_multi_reference_actually_used(self):
         clip = oscillating_clip()
@@ -186,7 +178,7 @@ class TestGopRoundTrip:
         parsed = parse_bitstream_symbols(result.bitstream)
         assert any(p.ref_idx is not None and p.ref_idx.any() for p in parsed)
         assert decode_bitstream(result.bitstream) == result.reconstruction
-        assert decode_bitstream(result.bitstream, use_engine=False) == result.reconstruction
+        assert decode_bitstream_reference(result.bitstream) == result.reconstruction
 
 
 class TestSplitGops:

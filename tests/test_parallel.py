@@ -229,7 +229,7 @@ class TestJobSpecs:
     def test_specs_hashable(self):
         jobs = {
             EncodeJob("miss_america", 30, "pbm", 16, TINY),
-            DecodeJob(b"\x00\x01", use_engine=True),
+            DecodeJob(b"\x00\x01"),
             Fig4PairJob(0, ((1, 0),), FrameGeometry(96, 80), 7, 16, 3),
             SweepJob(TINY, ("pbm",)),
         }
@@ -408,7 +408,6 @@ class TestGopShmTransport:
             i_period=3,
             n_ref_frames=1,
             bitstream_version=2,
-            use_engine=True,
             estimator_kwargs=(),
         )
         with FrameArena(name_prefix="repro-jobs-test") as arena:

@@ -4,9 +4,12 @@ The reconstruction kernels (``repro.me.engine.reconstruction`` /
 ``chroma_plane``) re-implement the decode/closed-loop hot path as
 whole-frame batched NumPy.  Nothing about the numbers is allowed to
 change: every test pins a batched path against the seed per-block
-reference it replaced — same chroma vector derivation and clamping,
-same interpolated samples, same rounding, same reconstructed frames,
-same bitstream bytes.
+reference it replaced (:mod:`repro.codec.reference` for whole streams)
+— same chroma vector derivation and clamping, same interpolated
+samples, same rounding, same reconstructed frames.  The golden matrix
+at the bottom runs production decode, reference decode and the
+encoder's closed loop over every framing × GOP configuration ×
+estimator × kernel backend.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ from hypothesis import strategies as st
 
 from repro.codec.decoder import decode_bitstream
 from repro.codec.encoder import Encoder, encode_sequence
+from repro.codec.reference import decode_bitstream_reference
 from repro.codec.macroblock import (
     chroma_mv,
     join_luma_blocks,
@@ -200,9 +204,11 @@ class TestChromaReferencePlane:
 
     def test_wrap_rejects_uncacheable(self):
         ok = np.zeros((8, 8), dtype=np.uint8)
-        assert ChromaReferencePlane.wrap(ok.astype(np.float64), ok) is None
-        assert ChromaReferencePlane.wrap(ok, np.zeros((8, 10), dtype=np.uint8)) is None
-        assert ChromaReferencePlane.wrap(ok, ok) is not None
+        with pytest.raises(ValueError):
+            ChromaReferencePlane(ok.astype(np.float64), ok)
+        with pytest.raises(ValueError):
+            ChromaReferencePlane(ok, np.zeros((8, 10), dtype=np.uint8))
+        assert ChromaReferencePlane(ok, ok).shape == (8, 8)
 
     def test_mc_frame_matches_per_plane_calls(self):
         cb = random_plane(52, 24, 32)
@@ -265,16 +271,16 @@ class TestTileHelpers:
 class TestGoldenDecoder:
     @pytest.mark.parametrize("estimator", ["pbm", "fsbm", "acbm"])
     def test_batched_decode_bit_identical(self, estimator):
-        """The tentpole guarantee: the batched decoder reconstructs the
-        same frames, bit for bit, as the seed per-block loop — and both
-        match the encoder's closed-loop reconstruction."""
+        """The batched decoder reconstructs the same frames, bit for
+        bit, as the seed per-block reference decode — and both match
+        the encoder's closed-loop reconstruction."""
         seq = moving_sequence(3)
         result = encode_sequence(
             seq, qp=10, estimator=estimator,
             estimator_kwargs={"p": 7}, keep_reconstruction=True,
         )
-        batched = decode_bitstream(result.bitstream, use_engine=True)
-        per_block = decode_bitstream(result.bitstream, use_engine=False)
+        batched = decode_bitstream(result.bitstream)
+        per_block = decode_bitstream_reference(result.bitstream)
         assert len(batched) == len(per_block) == 3
         for b, s, r in zip(batched, per_block, result.reconstruction):
             assert b == s
@@ -284,8 +290,8 @@ class TestGoldenDecoder:
     def test_batched_decode_across_qp_ladder(self, qp):
         seq = moving_sequence(2)
         result = encode_sequence(seq, qp=qp, estimator="pbm", keep_reconstruction=True)
-        batched = decode_bitstream(result.bitstream, use_engine=True)
-        per_block = decode_bitstream(result.bitstream, use_engine=False)
+        batched = decode_bitstream(result.bitstream)
+        per_block = decode_bitstream_reference(result.bitstream)
         for b, s in zip(batched, per_block):
             assert b == s
 
@@ -294,15 +300,15 @@ class TestGoldenDecoder:
         dequantize + IDCT + tiling) against the per-block loop."""
         seq = moving_sequence(1)
         result = encode_sequence(seq, qp=12, estimator="pbm", keep_reconstruction=True)
-        batched = decode_bitstream(result.bitstream, use_engine=True)
-        per_block = decode_bitstream(result.bitstream, use_engine=False)
+        batched = decode_bitstream(result.bitstream)
+        per_block = decode_bitstream_reference(result.bitstream)
         assert len(batched) == len(per_block) == 1
         assert batched[0] == per_block[0] == result.reconstruction[0]
 
     def test_synthetic_preset_round_trip(self):
         seq = make_sequence("carphone", frames=3)
         result = encode_sequence(seq, qp=14, estimator="acbm", keep_reconstruction=True)
-        batched = decode_bitstream(result.bitstream, use_engine=True)
+        batched = decode_bitstream(result.bitstream)
         for b, r in zip(batched, result.reconstruction):
             assert b == r
 
@@ -318,8 +324,8 @@ class TestGoldenDecoder:
         seq = Sequence([Frame(base, index=0), Frame(second, index=1)], fps=30)
         result = encode_sequence(seq, qp=8, estimator="fsbm",
                                  estimator_kwargs={"p": 3}, keep_reconstruction=True)
-        batched = decode_bitstream(result.bitstream, use_engine=True)
-        per_block = decode_bitstream(result.bitstream, use_engine=False)
+        batched = decode_bitstream(result.bitstream)
+        per_block = decode_bitstream_reference(result.bitstream)
         for b, s, r in zip(batched, per_block, result.reconstruction):
             assert b == s == r
 
@@ -330,32 +336,87 @@ class TestGoldenDecoder:
 class TestGoldenEncoder:
     @pytest.mark.parametrize("estimator", ["pbm", "fsbm", "acbm"])
     def test_bitstream_identical_with_engine(self, estimator):
-        """Engine on/off produces byte-identical bitstreams and
-        identical reconstructions through the closed-loop encoder —
-        the shared chroma plane changes no sample."""
+        """The encoder's whole-frame motion compensation (shared luma
+        and chroma planes) changes no sample: its closed-loop
+        reconstruction equals the per-block reference decode of the
+        bytes it emitted, whose MC is the seed ``predict_block`` /
+        ``predict_chroma_block`` per macroblock."""
         seq = moving_sequence(3, seed=220)
-        on = Encoder(estimator=estimator, qp=12, estimator_kwargs={"p": 7},
-                     keep_reconstruction=True, use_engine=True).encode(seq)
-        off = Encoder(estimator=estimator, qp=12, estimator_kwargs={"p": 7},
-                      keep_reconstruction=True, use_engine=False).encode(seq)
-        assert on.bitstream == off.bitstream
-        assert on.mean_psnr_y == off.mean_psnr_y
-        for a, b in zip(on.reconstruction, off.reconstruction):
-            assert a == b
+        result = Encoder(estimator=estimator, qp=12, estimator_kwargs={"p": 7},
+                         keep_reconstruction=True).encode(seq)
+        assert decode_bitstream_reference(result.bitstream) == result.reconstruction
 
     def test_synthetic_preset_identical(self):
         seq = make_sequence("miss_america", frames=3, seed=1)
-        on = encode_sequence(seq, qp=16, estimator="fsbm", use_engine=True)
-        off = encode_sequence(seq, qp=16, estimator="fsbm", use_engine=False)
-        assert on.bitstream == off.bitstream
+        result = encode_sequence(seq, qp=16, estimator="fsbm", keep_reconstruction=True)
+        assert decode_bitstream_reference(result.bitstream) == result.reconstruction
 
     def test_engine_reconstruction_decodes_exactly(self):
         """End to end with every batched path on: encode (engine MC) →
         decode (batched reconstruction) is still the exact closed loop."""
         seq = make_sequence("foreman", frames=3, seed=2)
-        result = encode_sequence(
-            seq, qp=18, estimator="fsbm", keep_reconstruction=True, use_engine=True
-        )
-        decoded = decode_bitstream(result.bitstream, use_engine=True)
+        result = encode_sequence(seq, qp=18, estimator="fsbm", keep_reconstruction=True)
+        decoded = decode_bitstream(result.bitstream)
         for d, r in zip(decoded, result.reconstruction):
             assert d == r
+
+
+# -- golden matrix: production decode == reference decode == closed loop --
+
+#: The matrix's GOP configurations: the seed syntax, spatially
+#: predicted I-frames every third frame, and those plus a two-frame
+#: reference list.
+GOP_CONFIGS = {
+    "seed": {},
+    "i_period3": {"i_period": 3},
+    "i_period3_refs2": {"i_period": 3, "n_ref_frames": 2},
+}
+
+
+def oscillating_sequence(n=7, seed=230):
+    """Frames alternate between two drifting offsets, so the frame two
+    back is often the better reference (the per-MB reference choice)."""
+    base_y = textured_plane(48, 64, seed=seed)
+    base_cb = textured_plane(24, 32, seed=seed + 1, amplitude=25.0)
+    base_cr = textured_plane(24, 32, seed=seed + 2, amplitude=25.0)
+    frames = []
+    for i in range(n):
+        dx = i // 2 + (5 if i % 2 else 0)
+        frames.append(
+            Frame(
+                shifted_plane(base_y, 0, dx),
+                shifted_plane(base_cb, 0, dx // 2),
+                shifted_plane(base_cr, 0, dx // 2),
+                index=i,
+            )
+        )
+    return Sequence(frames, fps=30, name="oscillating")
+
+
+class TestGoldenMatrix:
+    """Every framing × GOP configuration × estimator, once per kernel
+    backend (the module's ``kernel_backend`` fixture): the production
+    decoder, the seed reference decoder of :mod:`repro.codec.reference`
+    and the encoder's closed-loop reconstruction agree frame for frame."""
+
+    @pytest.fixture(scope="class")
+    def clip(self):
+        return oscillating_sequence()
+
+    @pytest.mark.parametrize("estimator", ["fsbm", "acbm"])
+    @pytest.mark.parametrize("gop", sorted(GOP_CONFIGS))
+    @pytest.mark.parametrize("version", [1, 2])
+    def test_decode_paths_and_closed_loop_agree(self, clip, version, gop, estimator):
+        result = encode_sequence(
+            clip,
+            qp=12,
+            estimator=estimator,
+            estimator_kwargs={"p": 7},
+            keep_reconstruction=True,
+            bitstream_version=version,
+            **GOP_CONFIGS[gop],
+        )
+        decoded = decode_bitstream(result.bitstream)
+        reference = decode_bitstream_reference(result.bitstream)
+        assert len(decoded) == len(clip)
+        assert decoded == reference == result.reconstruction

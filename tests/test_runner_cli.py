@@ -290,8 +290,11 @@ class TestMain:
 
     def test_decode_bench_shm_requires_a_parallel_transport(self, capsys):
         """--shm changes how payloads cross the worker pipe; without a
-        parallel path (v2 or --jobs >= 2) there is nothing to smoke."""
+        parallel path (the v2 indexed parse) there is nothing to smoke,
+        and a version-1 stream has none whatever --jobs says."""
         assert main(["decode-bench", "--shm"]) == 2
+        assert "--shm" in capsys.readouterr().err
+        assert main(["decode-bench", "--shm", "--jobs", "2"]) == 2
         assert "--shm" in capsys.readouterr().err
 
     def test_transport_bench_small_run(self, capsys, tmp_path):
